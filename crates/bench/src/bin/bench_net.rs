@@ -4,8 +4,9 @@
 //!
 //! * **Frame codec throughput** — encode + decode MB/s for small
 //!   (command-sized) and large (checkpoint-sized) payloads. The codec is
-//!   a length-prefixed copy plus a table-driven CRC-32; it should move
-//!   hundreds of MB/s and never be the bottleneck behind a LAN.
+//!   a length-prefixed copy plus a CRC-32 (a carry-less-multiply folding
+//!   kernel where the CPU has one, a table loop otherwise); it should
+//!   never be the bottleneck behind a LAN.
 //! * **rfork end-to-end** — checkpoint → ship → restore, in-process
 //!   (direct `restore`) versus real loopback TCP (framed RPC through
 //!   `worlds-net`, reply awaited). The gap is the true price of sockets,

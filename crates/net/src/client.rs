@@ -17,8 +17,8 @@
 
 use crate::error::{NetError, Result};
 use crate::fault::splitmix64;
-use crate::frame::{read_frame, write_frame, Frame};
-use crate::rpc::{Reply, Request};
+use crate::frame::{read_frame, write_frame_bytes};
+use crate::rpc::{kind, Reply, Request};
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -134,19 +134,19 @@ impl Conn {
     /// is never retried (asking again with the same corr-id would just
     /// replay the same answer).
     pub fn call(&mut self, req: &Request) -> Result<Reply> {
-        let frame = Frame::new(req.kind(), next_corr(), req.encode_payload());
-        self.deliver(&frame)
+        self.deliver(req.kind(), next_corr(), &req.payload())
     }
 
     /// Issue `req` and unwrap the `Ack`, mapping `Nack` to an error.
     pub fn call_ack(&mut self, req: &Request) -> Result<u64> {
-        match self.call(req)? {
-            Reply::Ack { world } => Ok(world),
-            Reply::Nack { code, detail } => Err(NetError::Nack { code, detail }),
-            Reply::Telemetry { .. } | Reply::Present { .. } => Err(NetError::Protocol(
-                "unexpected typed reply to an ack-style request".into(),
-            )),
-        }
+        into_ack(self.call(req)?)
+    }
+
+    /// Issue a [`Request::Rfork`] for a borrowed checkpoint `image` and
+    /// unwrap the `Ack`. The image goes from the caller's buffer straight
+    /// into the socket; no request value owning a copy is built.
+    pub fn call_rfork(&mut self, image: &[u8]) -> Result<u64> {
+        into_ack(self.deliver(kind::RFORK, next_corr(), image)?)
     }
 
     /// Issue a [`Request::HashProbe`] and unwrap the presence bitmap.
@@ -167,12 +167,12 @@ impl Conn {
         }
     }
 
-    /// Deliver one already-framed request, retrying with its corr-id.
-    fn deliver(&mut self, frame: &Frame) -> Result<Reply> {
+    /// Deliver one request frame, retrying with its corr-id.
+    fn deliver(&mut self, kind: u8, corr: u64, payload: &[u8]) -> Result<Reply> {
         let mut last = None;
         for attempt in 1..=self.policy.max_attempts.max(1) {
             if attempt > 1 {
-                let backoff = self.policy.backoff(frame.corr, attempt - 1);
+                let backoff = self.policy.backoff(corr, attempt - 1);
                 self.obs.emit(|| {
                     Event::new(
                         EventKind::NetRetry {
@@ -187,7 +187,7 @@ impl Conn {
                 });
                 std::thread::sleep(backoff);
             }
-            match self.attempt(frame) {
+            match self.attempt(kind, corr, payload) {
                 Ok(reply) => {
                     if let Reply::Nack { code, .. } = &reply {
                         // A refusal is a transport success, so no retry
@@ -226,21 +226,22 @@ impl Conn {
     }
 
     /// One attempt under one deadline: connect if needed, send, await
-    /// the matching reply.
-    fn attempt(&mut self, frame: &Frame) -> Result<Reply> {
+    /// the matching reply. The deadline is fixed per policy, so the
+    /// socket timeouts are set once, at connect.
+    fn attempt(&mut self, kind: u8, corr: u64, payload: &[u8]) -> Result<Reply> {
         let started = Instant::now();
         let (obs, node) = (self.obs.clone(), self.node);
         if self.stream.is_none() {
             let stream = TcpStream::connect_timeout(&self.addr, self.policy.deadline)?;
             stream.set_nodelay(true)?;
+            stream.set_read_timeout(Some(self.policy.deadline))?;
+            stream.set_write_timeout(Some(self.policy.deadline))?;
             self.stream = Some(stream);
         }
         let stream = self.stream.as_mut().expect("just connected");
-        stream.set_read_timeout(Some(self.policy.deadline))?;
-        stream.set_write_timeout(Some(self.policy.deadline))?;
 
         let result = (|| {
-            let sent = write_frame(stream, frame)?;
+            let sent = write_frame_bytes(stream, kind, corr, payload)?;
             obs.emit(|| {
                 Event::new(
                     EventKind::NetSend {
@@ -254,7 +255,7 @@ impl Conn {
             });
             loop {
                 let (reply, size) = read_frame(stream)?;
-                if reply.corr != frame.corr {
+                if reply.corr != corr {
                     // A reply to a request this Conn already gave up on;
                     // the ledger replayed it harmlessly. Keep waiting.
                     continue;
@@ -290,6 +291,17 @@ impl Conn {
             }
         }
         result
+    }
+}
+
+/// Unwrap an ack-style reply, mapping `Nack` to an error.
+fn into_ack(reply: Reply) -> Result<u64> {
+    match reply {
+        Reply::Ack { world } => Ok(world),
+        Reply::Nack { code, detail } => Err(NetError::Nack { code, detail }),
+        Reply::Telemetry { .. } | Reply::Present { .. } => Err(NetError::Protocol(
+            "unexpected typed reply to an ack-style request".into(),
+        )),
     }
 }
 

@@ -10,10 +10,12 @@
 //!
 //! The stack, bottom to top:
 //!
-//! * [`crc32`] — the integrity check every frame ends with.
+//! * [`crc32`] / [`crc32_update`] — the integrity check every frame ends
+//!   with: a carry-less-multiply folding kernel where the CPU has one,
+//!   the table loop otherwise, same value either way.
 //! * [`Frame`] / [`read_frame`] / [`write_frame`] — the length-prefixed,
 //!   versioned, checksummed frame codec ([`frame`] module docs give the
-//!   byte layout).
+//!   byte layout and the copies a frame makes).
 //! * [`Request`] / [`Reply`] — the RPC vocabulary: `Ping`, `Rfork`
 //!   (checkpoint image), `CommitBack` (dirty pages), `Discard`,
 //!   `PredicatedSend` (an `ipc::Message`, predicate set included).
@@ -62,7 +64,7 @@ mod rpc;
 mod server;
 
 pub use client::{Conn, Pool, RetryPolicy};
-pub use crc::crc32;
+pub use crc::{crc32, crc32_update};
 pub use error::{NetError, Result};
 pub use fault::{FaultKind, FaultSchedule};
 pub use frame::{

@@ -11,7 +11,7 @@
 //! single-retry faults, never accidental livelock.
 
 use crate::fault::{FaultKind, FaultSchedule};
-use crate::frame::{read_frame_idle, Frame, FRAME_HEADER};
+use crate::frame::{read_frame_idle, write_frame, Frame, FRAME_HEADER};
 use std::collections::HashMap;
 use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -212,7 +212,7 @@ fn relay(mut client: TcpStream, shared: Arc<Shared>) {
             Ok(r) => r,
             Err(()) => return,
         };
-        if client.write_all(&reply.encode()).is_err() {
+        if write_frame(&mut client, &reply).is_err() {
             return;
         }
     }
@@ -228,7 +228,7 @@ fn pump(upstream: &mut Option<TcpStream>, shared: &Shared, frame: &Frame) -> Res
             *upstream = Some(s);
         }
         let s = upstream.as_mut().expect("connected above");
-        if s.write_all(&frame.encode()).is_err() {
+        if write_frame(s, frame).is_err() {
             *upstream = None;
             continue;
         }

@@ -30,6 +30,8 @@
 //! never a panic.
 
 use crate::error::{NetError, Result};
+use crate::frame::Frame;
+use std::borrow::Cow;
 use worlds_ipc::{Message, MsgId};
 use worlds_obs::TraceCtx;
 use worlds_predicate::{Pid, PredicateSet};
@@ -73,6 +75,9 @@ pub mod nack {
     /// The named session does not exist (never opened, or already
     /// closed/adopted by its parent).
     pub const UNKNOWN_SESSION: u32 = 7;
+    /// The node failed while applying the request (a handler panicked).
+    /// Retransmits of the same corr-id replay this answer.
+    pub const INTERNAL: u32 = 8;
 
     /// Stable human name for a nack code; client errors and the
     /// `worlds-report --net` per-reason table both render through this
@@ -86,6 +91,7 @@ pub mod nack {
             OVERLOADED => "overloaded",
             LIMIT_EXCEEDED => "limit_exceeded",
             UNKNOWN_SESSION => "unknown_session",
+            INTERNAL => "internal",
             _ => "unknown",
         }
     }
@@ -196,9 +202,18 @@ impl Request {
 
     /// Serialise the payload (the frame codec adds header and CRC).
     pub fn encode_payload(&self) -> Vec<u8> {
-        match self {
+        self.payload().into_owned()
+    }
+
+    /// The payload as it goes on the wire: borrowed for the kinds whose
+    /// payload *is* an opaque byte field (an rfork image, telemetry
+    /// bytes), so the client writes a checkpoint image straight from the
+    /// request into the socket; encoded otherwise.
+    pub(crate) fn payload(&self) -> Cow<'_, [u8]> {
+        Cow::Owned(match self {
+            Request::Rfork { image } => return Cow::Borrowed(image),
+            Request::Telemetry { payload } => return Cow::Borrowed(payload),
             Request::Ping => Vec::new(),
-            Request::Rfork { image } => image.clone(),
             Request::CommitBack { base, pages } => {
                 let per_page: usize = pages.iter().map(|(_, p)| 12 + p.len()).sum();
                 let mut out = Vec::with_capacity(12 + per_page);
@@ -213,7 +228,6 @@ impl Request {
             }
             Request::Discard { world } => world.to_le_bytes().to_vec(),
             Request::PredicatedSend { msg } => encode_message(msg),
-            Request::Telemetry { payload } => payload.clone(),
             Request::HashProbe { hashes } => {
                 let mut out = Vec::with_capacity(4 + 8 * hashes.len());
                 out.extend_from_slice(&(hashes.len() as u32).to_le_bytes());
@@ -272,17 +286,38 @@ impl Request {
                 out.push(u8::from(*adopt));
                 out
             }
-        }
+        })
     }
 
     /// Parse a request from its frame-kind byte and payload.
     pub fn decode(kind_byte: u8, payload: &[u8]) -> Result<Request> {
+        Request::decode_cow(kind_byte, Cow::Borrowed(payload))
+    }
+
+    /// Parse the request a received frame carries, moving an rfork image
+    /// or telemetry payload out of the frame's buffer instead of copying.
+    pub(crate) fn from_frame(frame: Frame) -> Result<Request> {
+        Request::decode_cow(frame.kind, Cow::Owned(frame.payload))
+    }
+
+    fn decode_cow(kind_byte: u8, payload: Cow<'_, [u8]>) -> Result<Request> {
+        match kind_byte {
+            kind::RFORK => {
+                return Ok(Request::Rfork {
+                    image: payload.into_owned(),
+                })
+            }
+            kind::TELEMETRY => {
+                return Ok(Request::Telemetry {
+                    payload: payload.into_owned(),
+                })
+            }
+            _ => {}
+        }
+        let payload = &payload[..];
         let mut r = Reader::new(payload);
         let req = match kind_byte {
             kind::PING => Request::Ping,
-            kind::RFORK => Request::Rfork {
-                image: payload.to_vec(),
-            },
             kind::COMMIT_BACK => {
                 let base = r.u64("base")?;
                 let count = r.u32("page count")? as usize;
@@ -302,9 +337,6 @@ impl Request {
             }
             kind::PREDICATED_SEND => Request::PredicatedSend {
                 msg: decode_message(payload)?,
-            },
-            kind::TELEMETRY => Request::Telemetry {
-                payload: payload.to_vec(),
             },
             kind::HASH_PROBE => {
                 let count = r.u32("hash count")? as usize;

@@ -16,12 +16,13 @@
 //! land exactly once no matter how many times the frame is delivered
 //! (the double-delivery test in `tests/loopback.rs` proves it).
 
-use crate::frame::{read_frame_idle, write_frame, Frame};
+use crate::frame::{read_frame_idle, write_frame_bytes, Frame};
 use crate::rpc::{nack, Reply, Request};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Duration;
 use worlds_exec::Executor;
 use worlds_ipc::Message;
@@ -207,9 +208,13 @@ fn serve_connection(mut stream: TcpStream, shared: Arc<Shared>) {
             // idempotent.
             Err(_) => return,
         };
-        let reply = reply_for(&shared, &frame);
-        let out = Frame::new(reply.kind(), frame.corr, reply.encode_payload());
-        if write_frame(&mut stream, &out).is_err() {
+        let corr = frame.corr;
+        // A panicking request fails alone: the ledger guard in
+        // `reply_for` has recorded an `INTERNAL` Nack for its corr-id,
+        // and this connection answers with it and keeps serving.
+        let reply = catch_unwind(AssertUnwindSafe(|| reply_for(&shared, frame)))
+            .unwrap_or_else(|_| internal_nack(&shared));
+        if write_frame_bytes(&mut stream, reply.kind(), corr, &reply.encode_payload()).is_err() {
             return;
         }
     }
@@ -223,29 +228,72 @@ fn serve_connection(mut stream: TcpStream, shared: Arc<Shared>) {
 /// replays the recorded reply. Different corr-ids therefore apply
 /// concurrently — essential once session spawns (which block on fair
 /// scheduling) share the node with everything else.
-fn reply_for(shared: &Shared, frame: &Frame) -> Reply {
+///
+/// If `apply` unwinds, the claim's guard records an `INTERNAL` Nack for
+/// the corr-id on the way out, so parked and later retransmits replay
+/// that answer instead of waiting forever on a claim nobody will finish.
+fn reply_for(shared: &Shared, frame: Frame) -> Reply {
+    let corr = frame.corr;
     {
         let mut ledger = shared.ledger.lock().expect("ledger lock");
         loop {
-            if let Some(prior) = ledger.get(frame.corr) {
+            if let Some(prior) = ledger.get(corr) {
                 return prior;
             }
-            if ledger.inflight.insert(frame.corr) {
+            if ledger.inflight.insert(corr) {
                 break;
             }
             ledger = shared.ledger_cv.wait(ledger).expect("ledger lock");
         }
     }
+    let claim = Claim { shared, corr };
     let reply = apply(shared, frame);
-    let mut ledger = shared.ledger.lock().expect("ledger lock");
-    ledger.inflight.remove(&frame.corr);
-    ledger.put(frame.corr, reply.clone());
-    shared.ledger_cv.notify_all();
+    claim.settle(reply.clone());
     reply
 }
 
-fn apply(shared: &Shared, frame: &Frame) -> Reply {
-    let request = match Request::decode(frame.kind, &frame.payload) {
+/// A corr-id this delivery has claimed in `Ledger::inflight`. Settling
+/// records the reply; dropping it unsettled (an unwind out of `apply`)
+/// records an `INTERNAL` Nack instead.
+struct Claim<'a> {
+    shared: &'a Shared,
+    corr: u64,
+}
+
+impl Claim<'_> {
+    fn settle(self, reply: Reply) {
+        self.record(reply);
+        std::mem::forget(self);
+    }
+
+    fn record(&self, reply: Reply) {
+        // Never panic here: this also runs during an unwind.
+        let mut ledger = self
+            .shared
+            .ledger
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        ledger.inflight.remove(&self.corr);
+        ledger.put(self.corr, reply);
+        self.shared.ledger_cv.notify_all();
+    }
+}
+
+impl Drop for Claim<'_> {
+    fn drop(&mut self) {
+        self.record(internal_nack(self.shared));
+    }
+}
+
+fn internal_nack(shared: &Shared) -> Reply {
+    Reply::Nack {
+        code: nack::INTERNAL,
+        detail: format!("node {}: request handler panicked", shared.node),
+    }
+}
+
+fn apply(shared: &Shared, frame: Frame) -> Reply {
+    let request = match Request::from_frame(frame) {
         Ok(r) => r,
         Err(e) => {
             return Reply::Nack {

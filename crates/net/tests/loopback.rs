@@ -351,3 +351,58 @@ fn pool_tracks_nodes_independently() {
     a.shutdown();
     b.shutdown();
 }
+
+/// A handler that panics fails only its own request: the node records an
+/// `internal` Nack for the corr-id, so the client's retransmit of it (its
+/// first reply swallowed by the proxy) replays that answer within the
+/// deadline instead of parking on a claim nobody will finish, and the
+/// next request is served normally.
+#[test]
+fn panicking_handler_answers_retries_with_an_internal_nack() {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
+    use std::time::Instant;
+    use worlds_net::nack;
+
+    let node = NetNode::serve(1, PageStore::new(PAGE), Registry::disabled()).unwrap();
+    let calls = Arc::new(AtomicU64::new(0));
+    let seen = calls.clone();
+    node.set_session_handler(Arc::new(move |_req| {
+        if seen.fetch_add(1, Ordering::SeqCst) == 0 {
+            panic!("session handler fails once");
+        }
+        Reply::Ack { world: 7 }
+    }));
+    let proxy = FaultProxy::spawn(
+        node.addr(),
+        FaultSchedule::every_with(1, FaultKind::DropReply),
+        Registry::disabled(),
+    )
+    .unwrap();
+    let (obs, _ring) = Registry::with_ring(256);
+    let policy = fast();
+    let mut conn = Conn::new(1, proxy.addr(), policy, obs.clone());
+    let open = Request::SessionOpen {
+        name: "tenant".into(),
+        max_live_worlds: 0,
+        max_resident_frames: 0,
+        vt_budget_ns: 0,
+    };
+
+    let started = Instant::now();
+    let err = conn.call_ack(&open).unwrap_err();
+    assert_eq!(err.nack_code(), Some(nack::INTERNAL), "{err}");
+    assert!(err.to_string().contains("internal"), "{err}");
+    assert!(
+        started.elapsed() < policy.deadline * policy.max_attempts,
+        "the retry must be answered, not time out: {:?}",
+        started.elapsed()
+    );
+    assert!(obs.stats().unwrap().net.retries.get() >= 1);
+    assert_eq!(calls.load(Ordering::SeqCst), 1, "the retry replays");
+
+    assert_eq!(conn.call_ack(&open).unwrap(), 7, "the node still serves");
+    assert_eq!(calls.load(Ordering::SeqCst), 2);
+    proxy.shutdown();
+    node.shutdown();
+}

@@ -183,13 +183,19 @@ struct World {
     /// *read* lock where only `&World` is available. Mutations under the
     /// write lock use `get_mut`; commit-time checks `load(Acquire)`.
     generation: AtomicU64,
+    /// Set (under this world's shard write lock) the first time the world
+    /// is forked. A world that dies unforked can be no live world's
+    /// ancestor, so its lineage record is removed with it.
+    forked: bool,
 }
 
 /// One shard of the world table: the worlds whose ids hash here, plus
 /// their lineage records (parent at creation time, kept after a world
-/// dies so `adopt` can verify descent through eliminated intermediates;
-/// entries are append-only, which lets the descent walk read one shard
-/// at a time without holding locks across steps).
+/// dies so `adopt` can verify descent through eliminated intermediates).
+/// A record is removed only when its world dies without ever having been
+/// forked; every ancestor of a live world has been forked, so the records
+/// a descent walk follows are never removed, and the walk can read one
+/// shard at a time without holding locks across steps.
 #[derive(Debug, Default)]
 struct Shard {
     worlds: WorldTable<World>,
@@ -449,6 +455,7 @@ impl PageStore {
                 parent: None,
                 stats: WorldStats::default(),
                 generation: AtomicU64::new(0),
+                forked: false,
             },
         );
         self.shard_pop[shard_index(id)].fetch_add(1, Relaxed);
@@ -482,6 +489,7 @@ impl PageStore {
             // were 1) must not be installable afterwards, so invalidate
             // every in-flight commit against this world.
             *p.generation.get_mut() += 1;
+            p.forked = true;
             (p.map.clone(), p.map.mapped_pages() as u64)
         };
         self.frames.incref_sweep(map.iter().map(|(_, frame)| frame));
@@ -500,6 +508,7 @@ impl PageStore {
                     ..WorldStats::default()
                 },
                 generation: AtomicU64::new(0),
+                forked: false,
             },
         );
         self.shard_pop[shard_index(id)].fetch_add(1, Relaxed);
@@ -1030,6 +1039,11 @@ impl PageStore {
             }
         }
         if !is_descendant {
+            // The child may have died (and taken its lineage record with
+            // it) since the existence check above.
+            if !self.world_exists(child) {
+                return Err(PageStoreError::NoSuchWorld(child.0));
+            }
             return Err(PageStoreError::NotAChild {
                 parent: parent.0,
                 child: child.0,
@@ -1047,10 +1061,7 @@ impl PageStore {
                 Some(g) => g,
                 None => &mut pg,
             };
-            let w = cs
-                .worlds
-                .remove(&child.0)
-                .ok_or(PageStoreError::NoSuchWorld(child.0))?;
+            let w = Self::remove_world(cs, child.0)?;
             self.shard_pop[shard_index(child.0)].fetch_sub(1, Relaxed);
             w
         };
@@ -1092,10 +1103,7 @@ impl PageStore {
     pub fn drop_world(&self, world: WorldId) -> Result<()> {
         let (detached, parent) = {
             let mut shard = self.shard(world.0).write();
-            let w = shard
-                .worlds
-                .remove(&world.0)
-                .ok_or(PageStoreError::NoSuchWorld(world.0))?;
+            let w = Self::remove_world(&mut shard, world.0)?;
             self.shard_pop[shard_index(world.0)].fetch_sub(1, Relaxed);
             let mut detached = Vec::new();
             for (_, frame) in w.map.iter() {
@@ -1136,7 +1144,7 @@ impl PageStore {
         let mut dropped: Vec<(u64, Option<u64>, u64)> = Vec::with_capacity(worlds.len());
         for &world in worlds {
             let mut shard = self.shard(world.0).write();
-            let Some(w) = shard.worlds.remove(&world.0) else {
+            let Ok(w) = Self::remove_world(&mut shard, world.0) else {
                 continue;
             };
             self.shard_pop[shard_index(world.0)].fetch_sub(1, Relaxed);
@@ -1167,6 +1175,25 @@ impl PageStore {
             }
         }
         dropped.len()
+    }
+
+    /// Take `world` out of its shard, and its lineage record too unless
+    /// the world was ever forked (see [`Shard`]).
+    fn remove_world(shard: &mut Shard, world: u64) -> Result<World> {
+        let w = shard
+            .worlds
+            .remove(&world)
+            .ok_or(PageStoreError::NoSuchWorld(world))?;
+        if !w.forked {
+            shard.lineage.remove(&world);
+        }
+        Ok(w)
+    }
+
+    /// Number of lineage records held, live and dead worlds together.
+    #[cfg(test)]
+    pub(crate) fn lineage_len(&self) -> usize {
+        self.shards.iter().map(|s| s.read().lineage.len()).sum()
     }
 
     /// Does this world currently exist?
@@ -1625,6 +1652,32 @@ mod tests {
         s.drop_world(b).unwrap();
         s.adopt(a, c).unwrap();
         assert_eq!(s.read_vec(a, 0, 0, 1).unwrap(), vec![7]);
+    }
+
+    #[test]
+    fn lineage_records_do_not_grow_with_op_count() {
+        let s = store();
+        let root = s.create_world();
+        s.write(root, 0, 0, &[1]).unwrap();
+        let start = s.lineage_len();
+        for i in 0..10_000u64 {
+            // A restore-shaped world that lives and dies unforked.
+            let scratch = s.create_world();
+            s.write(scratch, 0, 0, &[2]).unwrap();
+            // A block: two alternatives, one adopted, one eliminated.
+            let win = s.fork_world(root).unwrap();
+            let lose = s.fork_world(root).unwrap();
+            s.write(win, 1, 0, &[i as u8]).unwrap();
+            s.adopt(root, win).unwrap();
+            if i % 2 == 0 {
+                s.drop_world(lose).unwrap();
+                s.drop_world(scratch).unwrap();
+            } else {
+                assert_eq!(s.drop_worlds(&[lose, scratch]), 2);
+            }
+        }
+        assert_eq!(s.lineage_len(), start);
+        assert_eq!(s.world_count(), 1);
     }
 
     #[test]
