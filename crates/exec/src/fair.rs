@@ -1,51 +1,53 @@
-//! Fair submission: per-tenant deficit round-robin over the injector.
+//! Fair admission: a per-tenant deficit round-robin gate.
 //!
-//! The pool itself is greedy — whoever submits first runs first — which
-//! is exactly wrong once many tenants share one [`Executor`]: a tenant
-//! that dumps ten thousand tasks starves everyone behind it in the
-//! injector. [`FairScheduler`] sits in front of the pool and meters
-//! admission instead: each tenant gets a bounded FIFO queue, and a
-//! deficit round-robin pass (Shreedhar & Varghese's DRR, the classic
-//! packet-scheduling discipline) releases tasks into the pool. Every
-//! visit tops a tenant's deficit up by one quantum; a task of cost `c`
-//! may only leave when the deficit covers `c`. Over any window, tenants
-//! with pending work therefore share released cost equally, no matter
-//! how unbalanced their arrival rates are.
+//! Left alone, whoever asks first runs first — exactly wrong once many
+//! tenants share one machine: a tenant with ten thousand requests in
+//! flight starves everyone behind it. [`FairScheduler`] meters who may
+//! proceed instead. [`admit`] waits in the tenant's bounded FIFO queue
+//! until a deficit round-robin pass (Shreedhar & Varghese's DRR, the
+//! classic packet-scheduling discipline) grants it an in-flight slot,
+//! then returns an [`Admission`] guard. Every visit tops a tenant's
+//! deficit up by one quantum; a waiter of cost `c` may only pass when
+//! the deficit covers `c`. Over any window, tenants with waiters
+//! therefore share admitted cost equally, no matter how unbalanced
+//! their arrival rates are.
+//!
+//! The gate runs nothing itself: no task, no channel, no pool hop. The
+//! admitted work runs on the thread that called [`admit`], which was
+//! going to wait for the answer anyway. A caller that finds a free slot
+//! and no queue ahead of it is admitted without ever parking.
 //!
 //! Two bounds make it a backpressure device as well as a fairness one:
 //!
-//! * a **per-tenant queue cap** — a full queue fails [`submit`]
-//!   immediately with [`Saturated`], which the server layer turns into
-//!   `Nack::Overloaded` (the client backs off; nothing blocks), and
-//! * a **global in-flight cap** — at most `max_inflight` released tasks
-//!   occupy the pool at once, so a burst never floods the injector and
-//!   the DRR pass, not the pool's steal order, decides who runs next.
+//! * a **per-tenant queue cap** — a full queue refuses [`admit`] at
+//!   once with [`Refused::Saturated`], which the server layer turns
+//!   into `Nack::Overloaded` (the client backs off; nothing blocks), and
+//! * a **global in-flight cap** — at most `max_inflight` admissions are
+//!   held at once, so a burst never oversubscribes the cores and the
+//!   DRR pass, not the OS scheduler, decides who runs next.
 //!
-//! Completion is panic-safe: the released wrapper decrements the
-//! in-flight count on drop, so a panicking task cannot wedge the
-//! scheduler.
+//! The slot is given back when the [`Admission`] drops, during an
+//! unwind too, so a panicking admitted section cannot wedge the gate.
 //!
-//! [`submit`]: FairScheduler::submit
+//! [`admit`]: FairScheduler::admit
 
-use crate::pool::Executor;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
-use std::sync::{Arc, Condvar, Mutex};
-use worlds_obs::Registry;
-
-type Task = Box<dyn FnOnce() + Send + 'static>;
+use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread::{self, Thread};
 
 /// Tuning knobs for a [`FairScheduler`].
 #[derive(Debug, Clone, Copy)]
 pub struct FairPolicy {
     /// Deficit added per round-robin visit. Costs are caller-defined
     /// units (the server layer passes virtual nanoseconds); a tenant
-    /// whose head task costs more than one quantum simply waits more
+    /// whose head waiter costs more than one quantum simply waits more
     /// visits — expensive work is amortised, never refused.
     pub quantum: u64,
-    /// Per-tenant queue bound; a full queue fails `submit`.
+    /// Per-tenant queue bound; a full queue refuses `admit`.
     pub queue_cap: usize,
-    /// Released tasks allowed in the pool at once.
+    /// Admissions held at once.
     pub max_inflight: usize,
 }
 
@@ -54,45 +56,79 @@ impl Default for FairPolicy {
         FairPolicy {
             quantum: 1_000_000,
             queue_cap: 64,
-            max_inflight: 0, // 0 = twice the executor's worker count
+            max_inflight: 0, // 0 = twice `available_parallelism`
         }
     }
 }
 
-/// `submit` refused a task because the tenant's queue is full.
+/// Why `admit` did not admit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Saturated {
-    /// The tenant whose queue was full.
-    pub key: u64,
-    /// The queue bound it hit.
-    pub cap: usize,
+pub enum Refused {
+    /// The tenant's queue was full; refused at once, without waiting.
+    Saturated {
+        /// The tenant whose queue was full.
+        key: u64,
+        /// The queue bound it hit.
+        cap: usize,
+    },
+    /// [`FairScheduler::purge`] dropped the waiter before its turn.
+    Purged {
+        /// The purged tenant.
+        key: u64,
+    },
 }
 
-impl fmt::Display for Saturated {
+impl fmt::Display for Refused {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "tenant {} queue full ({} tasks)", self.key, self.cap)
+        match self {
+            Refused::Saturated { key, cap } => {
+                write!(f, "tenant {key} queue full ({cap} waiting)")
+            }
+            Refused::Purged { key } => write!(f, "tenant {key} purged while waiting"),
+        }
     }
 }
 
-impl std::error::Error for Saturated {}
+impl std::error::Error for Refused {}
 
 /// A tenant's scheduler-side counters, snapshotted under the lock.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TenantStats {
-    /// Tasks accepted into the queue.
+    /// Waiters accepted into the queue.
     pub submitted: u64,
-    /// Tasks whose released wrapper has finished (or unwound).
+    /// Admissions given back (dropped, or unwound).
     pub completed: u64,
-    /// Submissions refused with [`Saturated`].
+    /// `admit` calls refused with [`Refused::Saturated`].
     pub rejected: u64,
-    /// Tasks queued, not yet released.
+    /// Waiters queued, not yet admitted.
     pub queued: usize,
-    /// Tasks released into the pool, not yet finished.
+    /// Admissions held right now.
     pub inflight: usize,
 }
 
+const WAITING: u8 = 0;
+const GRANTED: u8 = 1;
+const PURGED: u8 = 2;
+
+/// One queued `admit` call: the verdict it waits for and the thread to
+/// wake once the verdict is in.
+struct Ticket {
+    verdict: AtomicU8,
+    thread: Thread,
+}
+
+impl Ticket {
+    /// Called under the state lock. The `Release` store pairs with the
+    /// `Acquire` load in `admit`, so a woken waiter sees every update the
+    /// deciding thread made before it, including the slot accounting.
+    fn decide(&self, verdict: u8) {
+        self.verdict.store(verdict, Ordering::Release);
+        self.thread.unpark();
+    }
+}
+
 struct Tenant {
-    queue: VecDeque<(u64, Task)>,
+    queue: VecDeque<(u64, Arc<Ticket>)>,
     deficit: u64,
     in_ring: bool,
     inflight: usize,
@@ -121,14 +157,12 @@ impl Tenant {
 
 struct State {
     tenants: HashMap<u64, Tenant>,
-    /// Keys with queued work, in round-robin order.
+    /// Keys with queued waiters, in round-robin order.
     ring: VecDeque<u64>,
     inflight: usize,
 }
 
 struct Inner {
-    exec: Executor,
-    obs: Registry,
     quantum: u64,
     queue_cap: usize,
     max_inflight: usize,
@@ -142,18 +176,26 @@ pub struct FairScheduler {
     inner: Arc<Inner>,
 }
 
+/// A held in-flight slot for one tenant. Dropping it gives the slot
+/// back and lets the next waiter in.
+#[must_use = "the slot is given back as soon as the admission drops"]
+pub struct Admission<'a> {
+    gate: &'a FairScheduler,
+    key: u64,
+}
+
 impl FairScheduler {
-    /// A scheduler releasing into `exec` under `policy`.
-    pub fn new(exec: Executor, obs: Registry, policy: FairPolicy) -> FairScheduler {
+    /// A gate under `policy`.
+    pub fn new(policy: FairPolicy) -> FairScheduler {
         let max_inflight = if policy.max_inflight == 0 {
-            exec.workers().saturating_mul(2).max(1)
+            thread::available_parallelism()
+                .map_or(1, |n| n.get())
+                .saturating_mul(2)
         } else {
             policy.max_inflight
         };
         FairScheduler {
             inner: Arc::new(Inner {
-                exec,
-                obs,
                 quantum: policy.quantum.max(1),
                 queue_cap: policy.queue_cap.max(1),
                 max_inflight,
@@ -167,66 +209,93 @@ impl FairScheduler {
         }
     }
 
-    /// Queue `task` for tenant `key` at DRR cost `cost` (0 is treated
-    /// as 1 so a flood of "free" tasks still round-robins). Fails
-    /// immediately — never blocks — when the tenant's queue is full.
-    pub fn submit(
-        &self,
-        key: u64,
-        cost: u64,
-        task: impl FnOnce() + Send + 'static,
-    ) -> Result<(), Saturated> {
-        let mut state = self.inner.state.lock().expect("fair lock");
-        let tenant = state.tenants.entry(key).or_insert_with(Tenant::new);
-        if tenant.queue.len() >= self.inner.queue_cap {
-            tenant.rejected += 1;
-            return Err(Saturated {
-                key,
-                cap: self.inner.queue_cap,
-            });
-        }
-        tenant.submitted += 1;
-        tenant.queue.push_back((cost.max(1), Box::new(task)));
-        if !tenant.in_ring {
-            tenant.in_ring = true;
-            state.ring.push_back(key);
-        }
-        self.pump(&mut state);
-        Ok(())
+    /// Never panics on a poisoned lock: admissions drop during unwinds,
+    /// and no user code ever runs while the lock is held.
+    fn state(&self) -> MutexGuard<'_, State> {
+        self.inner
+            .state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Drop every still-queued task for `key` (released ones run to
-    /// completion). Returns how many were dropped.
+    /// Wait for tenant `key`'s DRR turn and a free in-flight slot, at
+    /// DRR cost `cost` (0 is treated as 1 so a flood of "free" callers
+    /// still round-robins). Refuses at once — never blocks — when the
+    /// tenant's queue is full; returns [`Refused::Purged`] when
+    /// [`purge`](Self::purge) drops the waiter first.
+    pub fn admit(&self, key: u64, cost: u64) -> Result<Admission<'_>, Refused> {
+        let ticket = {
+            let mut state = self.state();
+            let tenant = state.tenants.entry(key).or_insert_with(Tenant::new);
+            if tenant.queue.len() >= self.inner.queue_cap {
+                tenant.rejected += 1;
+                return Err(Refused::Saturated {
+                    key,
+                    cap: self.inner.queue_cap,
+                });
+            }
+            tenant.submitted += 1;
+            let ticket = Arc::new(Ticket {
+                verdict: AtomicU8::new(WAITING),
+                thread: thread::current(),
+            });
+            tenant.queue.push_back((cost.max(1), ticket.clone()));
+            if !tenant.in_ring {
+                tenant.in_ring = true;
+                state.ring.push_back(key);
+            }
+            self.pump(&mut state);
+            ticket
+        };
+        loop {
+            match ticket.verdict.load(Ordering::Acquire) {
+                GRANTED => return Ok(Admission { gate: self, key }),
+                PURGED => return Err(Refused::Purged { key }),
+                // Spurious wakeups just re-check the verdict.
+                _ => thread::park(),
+            }
+        }
+    }
+
+    /// Refuse every still-queued waiter for `key` with
+    /// [`Refused::Purged`] (held admissions run to completion). Returns
+    /// how many were purged.
     pub fn purge(&self, key: u64) -> usize {
-        let mut state = self.inner.state.lock().expect("fair lock");
+        let mut state = self.state();
         let Some(tenant) = state.tenants.get_mut(&key) else {
             return 0;
         };
-        let dropped = tenant.queue.len();
-        tenant.queue.clear();
+        let purged = tenant.queue.len();
+        for (_, ticket) in tenant.queue.drain(..) {
+            ticket.decide(PURGED);
+        }
+        let idle = tenant.idle();
         if tenant.in_ring {
             tenant.in_ring = false;
             state.ring.retain(|&k| k != key);
         }
-        if dropped > 0 && state.tenants.get(&key).is_none_or(Tenant::idle) {
+        if purged > 0 && idle {
             self.inner.idle.notify_all();
         }
-        dropped
+        purged
     }
 
     /// Block until tenant `key` has nothing queued and nothing in
-    /// flight (trivially true for a tenant that never submitted).
+    /// flight (trivially true for a tenant that never asked).
     pub fn drain(&self, key: u64) {
-        let mut state = self.inner.state.lock().expect("fair lock");
+        let mut state = self.state();
         while state.tenants.get(&key).is_some_and(|t| !t.idle()) {
-            state = self.inner.idle.wait(state).expect("fair lock");
+            state = self
+                .inner
+                .idle
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
         }
     }
 
     /// The tenant's counters right now.
     pub fn stats(&self, key: u64) -> TenantStats {
-        let state = self.inner.state.lock().expect("fair lock");
-        match state.tenants.get(&key) {
+        match self.state().tenants.get(&key) {
             None => TenantStats::default(),
             Some(t) => TenantStats {
                 submitted: t.submitted,
@@ -241,84 +310,70 @@ impl FairScheduler {
     /// Forget an idle tenant's bookkeeping entirely. No-op (returning
     /// `false`) while it still has queued or in-flight work.
     pub fn forget(&self, key: u64) -> bool {
-        let mut state = self.inner.state.lock().expect("fair lock");
+        let mut state = self.state();
         if state.tenants.get(&key).is_some_and(|t| !t.idle()) {
             return false;
         }
         state.tenants.remove(&key).is_some()
     }
 
-    /// One DRR pass: release queued tasks into the pool until the
-    /// in-flight cap is hit or every queue is empty. Called with the
-    /// lock held from `submit` and from task completion.
+    /// One DRR pass: admit queued waiters until the in-flight cap is hit
+    /// or every queue is empty. Called with the lock held from `admit`
+    /// and from every admission's drop.
     fn pump(&self, state: &mut State) {
-        while state.inflight < self.inner.max_inflight {
-            let Some(&key) = state.ring.front() else {
+        let State {
+            tenants,
+            ring,
+            inflight,
+        } = state;
+        let max_inflight = self.inner.max_inflight;
+        while *inflight < max_inflight {
+            let Some(&key) = ring.front() else {
                 break;
             };
-            let quantum = self.inner.quantum;
-            let max_inflight = self.inner.max_inflight;
-            let tenant = state.tenants.get_mut(&key).expect("ring key exists");
-            tenant.deficit = tenant.deficit.saturating_add(quantum);
-            let mut released: Vec<Task> = Vec::new();
-            while state.inflight + released.len() < max_inflight {
+            let tenant = tenants.get_mut(&key).expect("ring key exists");
+            tenant.deficit = tenant.deficit.saturating_add(self.inner.quantum);
+            while *inflight < max_inflight {
                 let Some(&(cost, _)) = tenant.queue.front() else {
                     break;
                 };
                 if tenant.deficit < cost {
                     break;
                 }
-                let (cost, task) = tenant.queue.pop_front().expect("front exists");
+                let (cost, ticket) = tenant.queue.pop_front().expect("front exists");
                 tenant.deficit -= cost;
-                released.push(task);
+                tenant.inflight += 1;
+                *inflight += 1;
+                ticket.decide(GRANTED);
             }
-            tenant.inflight += released.len();
             if tenant.queue.is_empty() {
                 // An empty queue leaves the ring and forfeits its
                 // deficit — classic DRR, so an idle tenant cannot bank
                 // credit and burst past the others later.
                 tenant.deficit = 0;
                 tenant.in_ring = false;
-                state.ring.pop_front();
+                ring.pop_front();
             } else {
                 // Still backlogged: move to the back of the ring so the
                 // next visit serves someone else.
-                state.ring.rotate_left(1);
-            }
-            state.inflight += released.len();
-            for task in released {
-                let inner = self.inner.clone();
-                let obs = self.inner.obs.clone();
-                self.inner.exec.spawn(&obs, move || {
-                    // Completion bookkeeping on drop, so a panicking
-                    // task still gives its in-flight slot back.
-                    let _done = DoneGuard { inner, key };
-                    task();
-                });
+                ring.rotate_left(1);
             }
         }
     }
 }
 
-struct DoneGuard {
-    inner: Arc<Inner>,
-    key: u64,
-}
-
-impl Drop for DoneGuard {
+impl Drop for Admission<'_> {
     fn drop(&mut self) {
-        let mut state = self.inner.state.lock().expect("fair lock");
+        let gate = self.gate;
+        let mut state = gate.state();
         state.inflight -= 1;
         if let Some(tenant) = state.tenants.get_mut(&self.key) {
             tenant.inflight -= 1;
             tenant.completed += 1;
         }
-        let sched = FairScheduler {
-            inner: self.inner.clone(),
-        };
-        sched.pump(&mut state);
+        gate.pump(&mut state);
         if state.tenants.get(&self.key).is_none_or(Tenant::idle) {
-            self.inner.idle.notify_all();
+            gate.inner.idle.notify_all();
         }
     }
 }
@@ -326,167 +381,169 @@ impl Drop for DoneGuard {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::time::Duration;
+    use std::sync::mpsc;
+    use std::time::{Duration, Instant};
 
-    fn counting_task(log: &Arc<Mutex<Vec<u64>>>, key: u64) -> impl FnOnce() + Send + 'static {
-        let log = log.clone();
-        move || {
-            std::thread::sleep(Duration::from_micros(200));
-            log.lock().unwrap().push(key);
+    const DEADLINE: Duration = Duration::from_secs(10);
+
+    fn gate(quantum: u64, queue_cap: usize, max_inflight: usize) -> FairScheduler {
+        FairScheduler::new(FairPolicy {
+            quantum,
+            queue_cap,
+            max_inflight,
+        })
+    }
+
+    /// Poll until `key` has `n` waiters queued.
+    fn await_queued(fair: &FairScheduler, key: u64, n: usize) {
+        let started = Instant::now();
+        while fair.stats(key).queued < n {
+            assert!(
+                started.elapsed() < DEADLINE,
+                "tenant {key} never queued {n} waiters"
+            );
+            thread::sleep(Duration::from_millis(1));
         }
     }
 
     #[test]
     fn hog_cannot_starve_a_light_tenant() {
-        let exec = Executor::new(2);
-        let fair = FairScheduler::new(
-            exec.clone(),
-            Registry::disabled(),
-            FairPolicy {
-                quantum: 1,
-                queue_cap: 1024,
-                max_inflight: 2,
-            },
-        );
+        let fair = gate(1, 1024, 1);
         let log = Arc::new(Mutex::new(Vec::new()));
-        // The hog floods first; the mouse trickles in afterwards.
-        for _ in 0..200 {
-            fair.submit(1, 1, counting_task(&log, 1)).unwrap();
+        // Hold the only slot while both tenants queue up, so the order
+        // they are let in is the DRR pass's alone.
+        let door = fair.admit(0, 1).unwrap();
+        let waiter = |key: u64| {
+            let (fair, log) = (fair.clone(), log.clone());
+            thread::spawn(move || {
+                let _slot = fair.admit(key, 1).unwrap();
+                log.lock().unwrap().push(key);
+            })
+        };
+        // The hog floods first; the mouse arrives behind its backlog.
+        let mut threads: Vec<_> = (0..40).map(|_| waiter(1)).collect();
+        await_queued(&fair, 1, 40);
+        threads.extend((0..10).map(|_| waiter(2)));
+        await_queued(&fair, 2, 10);
+        drop(door);
+        for t in threads {
+            t.join().unwrap();
         }
-        for _ in 0..10 {
-            fair.submit(2, 1, counting_task(&log, 2)).unwrap();
-        }
-        fair.drain(2);
         let order = log.lock().unwrap().clone();
-        let mouse_done = order
-            .iter()
-            .enumerate()
-            .filter(|&(_, &k)| k == 2)
-            .map(|(i, _)| i)
-            .max()
-            .expect("mouse ran");
-        let hog_before = order[..=mouse_done].iter().filter(|&&k| k == 1).count();
-        // Round-robin means the mouse's 10 tasks complete alongside
-        // roughly 10 hog tasks, not after the hog's entire backlog.
+        let mouse_done = order.iter().rposition(|&k| k == 2).expect("mouse ran");
+        let hog_before = order[..mouse_done].iter().filter(|&&k| k == 1).count();
+        // Round-robin lets the mouse's 10 waiters in alternately with
+        // the hog's, not after the hog's entire backlog.
         assert!(
-            hog_before < 100,
-            "mouse finished after {hog_before} of 200 hog tasks — starved"
+            hog_before <= 11,
+            "mouse finished after {hog_before} of 40 hog admissions: {order:?}"
         );
-        fair.drain(1);
-        assert_eq!(fair.stats(1).completed, 200);
+        assert_eq!(fair.stats(1).completed, 40);
         assert_eq!(fair.stats(2).completed, 10);
-        exec.shutdown();
     }
 
     #[test]
     fn full_queue_saturates_instead_of_blocking() {
-        let exec = Executor::new(1);
-        let fair = FairScheduler::new(
-            exec.clone(),
-            Registry::disabled(),
-            FairPolicy {
-                quantum: 1,
-                queue_cap: 2,
-                max_inflight: 1,
-            },
-        );
-        let gate = Arc::new((Mutex::new(false), Condvar::new()));
-        let blocker = {
-            let gate = gate.clone();
-            move || {
-                let (lock, cv) = &*gate;
-                let mut open = lock.lock().unwrap();
-                while !*open {
-                    open = cv.wait(open).unwrap();
-                }
-            }
-        };
-        // One in flight (held at the gate) + two queued = full.
-        fair.submit(7, 1, blocker).unwrap();
-        fair.submit(7, 1, || {}).unwrap();
-        fair.submit(7, 1, || {}).unwrap();
-        let err = fair.submit(7, 1, || {}).unwrap_err();
-        assert_eq!(err, Saturated { key: 7, cap: 2 });
+        let fair = gate(1, 2, 1);
+        let held = fair.admit(7, 1).unwrap();
+        // One in flight (held here) + two queued = full.
+        let queued: Vec<_> = (0..2)
+            .map(|_| {
+                let fair = fair.clone();
+                thread::spawn(move || drop(fair.admit(7, 1).unwrap()))
+            })
+            .collect();
+        await_queued(&fair, 7, 2);
+        let started = Instant::now();
+        let err = fair.admit(7, 1).err().expect("queue is full");
+        assert!(started.elapsed() < DEADLINE, "refusal must not wait");
+        assert_eq!(err, Refused::Saturated { key: 7, cap: 2 });
         assert_eq!(fair.stats(7).rejected, 1);
-        // Another tenant is unaffected by 7's saturation.
-        fair.submit(8, 1, || {}).unwrap();
-        let (lock, cv) = &*gate;
-        *lock.lock().unwrap() = true;
-        cv.notify_all();
+        // Another tenant is unaffected by 7's saturation: it queues.
+        let other = {
+            let fair = fair.clone();
+            thread::spawn(move || drop(fair.admit(8, 1).unwrap()))
+        };
+        await_queued(&fair, 8, 1);
+        drop(held);
+        for t in queued.into_iter().chain([other]) {
+            t.join().unwrap();
+        }
         fair.drain(7);
         fair.drain(8);
         assert_eq!(fair.stats(7).completed, 3);
         assert_eq!(fair.stats(8).completed, 1);
-        exec.shutdown();
     }
 
     #[test]
     fn purge_drops_queued_work_and_drain_returns() {
-        let exec = Executor::new(1);
-        let fair = FairScheduler::new(
-            exec.clone(),
-            Registry::disabled(),
-            FairPolicy {
-                quantum: 1,
-                queue_cap: 64,
-                max_inflight: 1,
-            },
-        );
-        let gate = Arc::new((Mutex::new(false), Condvar::new()));
-        let ran = Arc::new(AtomicU64::new(0));
-        {
-            let gate = gate.clone();
-            fair.submit(3, 1, move || {
-                let (lock, cv) = &*gate;
-                let mut open = lock.lock().unwrap();
-                while !*open {
-                    open = cv.wait(open).unwrap();
-                }
-            })
-            .unwrap();
-        }
+        let fair = gate(1, 64, 1);
+        let held = fair.admit(3, 1).unwrap();
+        let (tx, rx) = mpsc::channel();
         for _ in 0..5 {
-            let ran = ran.clone();
-            fair.submit(3, 1, move || {
-                ran.fetch_add(1, Ordering::Relaxed);
-            })
-            .unwrap();
+            let (fair, tx) = (fair.clone(), tx.clone());
+            thread::spawn(move || {
+                let out = fair.admit(3, 1).map(drop);
+                tx.send(out).unwrap();
+            });
         }
-        assert_eq!(fair.purge(3), 5, "all queued tasks dropped");
-        let (lock, cv) = &*gate;
-        *lock.lock().unwrap() = true;
-        cv.notify_all();
+        await_queued(&fair, 3, 5);
+        assert_eq!(fair.purge(3), 5, "every queued waiter purged");
+        for _ in 0..5 {
+            let out = rx.recv_timeout(DEADLINE).expect("purged waiter woke");
+            assert_eq!(out, Err(Refused::Purged { key: 3 }));
+        }
+        // The held admission was never purged: it still counts.
+        assert_eq!(fair.stats(3).inflight, 1);
+        assert!(!fair.forget(3), "busy tenants are not forgotten");
+        drop(held);
         fair.drain(3);
-        assert_eq!(ran.load(Ordering::Relaxed), 0, "purged tasks never ran");
-        assert_eq!(fair.stats(3).completed, 1, "only the in-flight blocker");
+        assert_eq!(fair.stats(3).completed, 1, "only the held admission");
         assert!(fair.forget(3));
         assert_eq!(fair.stats(3), TenantStats::default());
-        exec.shutdown();
+    }
+
+    #[test]
+    fn panicking_section_gives_its_slot_back() {
+        let fair = gate(1, 8, 1);
+        let panicker = {
+            let fair = fair.clone();
+            thread::spawn(move || {
+                let _slot = fair.admit(5, 1).unwrap();
+                panic!("admitted section failed");
+            })
+        };
+        assert!(panicker.join().is_err(), "the section did panic");
+        fair.drain(5);
+        assert_eq!(fair.stats(5).inflight, 0);
+        assert_eq!(fair.stats(5).completed, 1);
+        // The single slot is free again: admitted without waiting.
+        drop(fair.admit(6, 1).unwrap());
+    }
+
+    #[test]
+    fn in_flight_cap_holds_across_tenants() {
+        let fair = gate(1, 8, 2);
+        let a = fair.admit(1, 1).unwrap();
+        let b = fair.admit(2, 1).unwrap();
+        let third = {
+            let fair = fair.clone();
+            thread::spawn(move || drop(fair.admit(3, 1).unwrap()))
+        };
+        await_queued(&fair, 3, 1);
+        assert_eq!(fair.stats(3).inflight, 0, "cap of 2 is full");
+        drop(a);
+        third.join().unwrap();
+        drop(b);
+        assert_eq!(fair.stats(3).completed, 1);
     }
 
     #[test]
     fn costly_tasks_wait_more_visits_but_run() {
-        let exec = Executor::new(1);
-        let fair = FairScheduler::new(
-            exec.clone(),
-            Registry::disabled(),
-            FairPolicy {
-                quantum: 10,
-                queue_cap: 8,
-                max_inflight: 1,
-            },
-        );
-        let ran = Arc::new(AtomicU64::new(0));
-        let r = ran.clone();
-        // Cost far above one quantum: served only once the deficit
+        let fair = gate(10, 8, 1);
+        // Cost far above one quantum: admitted only once the deficit
         // accumulates across visits.
-        fair.submit(1, 95, move || {
-            r.fetch_add(1, Ordering::Relaxed);
-        })
-        .unwrap();
-        fair.drain(1);
-        assert_eq!(ran.load(Ordering::Relaxed), 1);
-        exec.shutdown();
+        drop(fair.admit(1, 95).unwrap());
+        assert_eq!(fair.stats(1).completed, 1);
     }
 }

@@ -11,7 +11,10 @@
 //!   shared by every `Speculation` session. Submission reserves a free
 //!   worker or spawns a fallback thread, so arbitrary blocking tasks —
 //!   including nested speculation — can never starve queued work (see
-//!   the `pool` module docs for the invariant).
+//!   the `pool` module docs for the invariant). The pool is for
+//!   compute: nothing that blocks indefinitely (an accept loop, a
+//!   connection handler) is parked on it, or every submission would pay
+//!   for a fallback thread.
 //! * [`Scope`] — scoped submission: tasks that borrow the caller's
 //!   frame, sound because `Executor::scope` joins them before returning.
 //! * [`Reaper`] — batched asynchronous elimination: losing worlds queue
@@ -19,16 +22,16 @@
 //!   `Recycler` lock acquisition per batch instead of per frame, while
 //!   emitting exactly the per-world `frame_free` events a sequential
 //!   teardown would.
-
-//! * [`FairScheduler`] — per-tenant deficit round-robin admission in
-//!   front of the injector, with bounded queues (backpressure) and a
-//!   global in-flight cap, so many tenants can share one pool without
-//!   any of them starving the rest (see the `fair` module docs).
+//! * [`FairScheduler`] — per-tenant deficit round-robin admission with
+//!   bounded queues (backpressure) and a global in-flight cap, so many
+//!   tenants can share the machine without any of them starving the
+//!   rest. It runs no work itself: an admitted caller does its work on
+//!   its own thread (see the `fair` module docs).
 
 mod fair;
 mod pool;
 mod reaper;
 
-pub use fair::{FairPolicy, FairScheduler, Saturated, TenantStats};
+pub use fair::{Admission, FairPolicy, FairScheduler, Refused, TenantStats};
 pub use pool::{Executor, Scope, WORKERS_ENV};
 pub use reaper::Reaper;

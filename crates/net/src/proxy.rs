@@ -9,6 +9,10 @@
 //! corr the proxy has already seen, so a scheduled fault fires exactly
 //! once per logical op and the retry sails through — deterministic
 //! single-retry faults, never accidental livelock.
+//!
+//! Like [`crate::NetNode`], the proxy's accept loop and relays block for
+//! as long as it lives, so they run on OS threads of their own rather
+//! than on the speculation pool.
 
 use crate::fault::{FaultKind, FaultSchedule};
 use crate::frame::{read_frame_idle, write_frame, Frame, FRAME_HEADER};
@@ -17,8 +21,8 @@ use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use std::thread;
 use std::time::Duration;
-use worlds_exec::Executor;
 use worlds_obs::Registry;
 
 /// Shared first-seen-corr → op-index assignment. A cluster runs one
@@ -86,11 +90,12 @@ impl FaultProxy {
 
     /// Like [`FaultProxy::spawn`], but numbering operations from a
     /// shared [`OpLedger`] — for fleets of proxies (one per node) that
-    /// must share one global op sequence.
+    /// must share one global op sequence. The proxy records no events
+    /// of its own, so `_obs` goes unused.
     pub fn spawn_with_ops(
         upstream: SocketAddr,
         schedule: FaultSchedule,
-        obs: Registry,
+        _obs: Registry,
         ops: OpLedger,
     ) -> std::io::Result<FaultProxy> {
         let listener = TcpListener::bind(("127.0.0.1", 0))?;
@@ -104,21 +109,25 @@ impl FaultProxy {
             ops,
         });
         let accept_shared = shared.clone();
-        Executor::global().spawn(&obs, move || {
-            while !accept_shared.stop.load(Ordering::Acquire) {
-                let client = match listener.accept() {
-                    Ok((s, _)) => s,
-                    Err(_) => continue,
-                };
-                if accept_shared.stop.load(Ordering::Acquire) {
-                    break;
+        thread::Builder::new()
+            .name("worlds-proxy".into())
+            .spawn(move || {
+                while !accept_shared.stop.load(Ordering::Acquire) {
+                    let client = match listener.accept() {
+                        Ok((s, _)) => s,
+                        Err(_) => continue,
+                    };
+                    if accept_shared.stop.load(Ordering::Acquire) {
+                        break;
+                    }
+                    let relay_shared = accept_shared.clone();
+                    // Out of threads: dropping the client refuses it, as a
+                    // reset would.
+                    let _ = thread::Builder::new()
+                        .name("worlds-relay".into())
+                        .spawn(move || relay(client, relay_shared));
                 }
-                let relay_shared = accept_shared.clone();
-                Executor::global().spawn(&Registry::disabled(), move || {
-                    relay(client, relay_shared);
-                });
-            }
-        });
+            })?;
         Ok(FaultProxy { shared, addr })
     }
 

@@ -1,10 +1,14 @@
 //! `NetNode` — the server half of the transport.
 //!
 //! One node = one loopback TCP listener + one local [`PageStore`]. The
-//! accept loop and every per-connection handler run on the shared
-//! [`worlds_exec::Executor`], whose reserve-or-spawn guarantee means a
-//! node blocked in `accept`/`read` can never starve compute tasks out of
-//! the pool.
+//! accept loop and every per-connection handler run on OS threads of
+//! their own, never on the shared [`worlds_exec::Executor`]: they block
+//! in `accept`/`read` for as long as the node lives, and parked on the
+//! pool they would hold its permanent workers forever, pushing every
+//! compute task onto a freshly spawned fallback thread. A request is
+//! applied on its connection's thread — a session spawn included, which
+//! waits there for its fair-admission turn — so answering costs no
+//! thread handoff.
 //!
 //! ## Idempotency: the reply ledger
 //!
@@ -23,8 +27,8 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::thread;
 use std::time::Duration;
-use worlds_exec::Executor;
 use worlds_ipc::Message;
 use worlds_obs::Registry;
 use worlds_pagestore::{restore, PageStore, WorldId};
@@ -52,7 +56,6 @@ pub type SessionHandler = Arc<dyn Fn(&Request) -> Reply + Send + Sync>;
 
 struct Shared {
     store: PageStore,
-    obs: Registry,
     node: u64,
     stop: AtomicBool,
     /// corr → reply, for at-most-once application of retried requests.
@@ -103,13 +106,13 @@ pub struct NetNode {
 impl NetNode {
     /// Bind a listener on `127.0.0.1:0` (kernel-assigned port) and start
     /// serving `store`. `node` is this node's cluster id, used only for
-    /// diagnostics.
-    pub fn serve(node: u64, store: PageStore, obs: Registry) -> std::io::Result<NetNode> {
+    /// diagnostics. The serving side records no events of its own, so
+    /// `_obs` goes unused; the client side reports through its `Conn`.
+    pub fn serve(node: u64, store: PageStore, _obs: Registry) -> std::io::Result<NetNode> {
         let listener = TcpListener::bind(("127.0.0.1", 0))?;
         let addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
             store,
-            obs,
             node,
             stop: AtomicBool::new(false),
             ledger: Mutex::new(Ledger::default()),
@@ -118,10 +121,15 @@ impl NetNode {
             telemetry: Mutex::new(None),
             sessions: Mutex::new(None),
         });
+        // Detached, like every serving thread: after `shutdown` the
+        // accept loop exits on its wake-up connection and each
+        // connection within one read-poll interval, and a request that
+        // panics is caught per request, so a join would only make
+        // shutdown block.
         let accept_shared = shared.clone();
-        Executor::global().spawn(&accept_shared.obs.clone(), move || {
-            accept_loop(listener, accept_shared);
-        });
+        thread::Builder::new()
+            .name(format!("worlds-accept-{node}"))
+            .spawn(move || accept_loop(listener, accept_shared))?;
         Ok(NetNode { shared, addr })
     }
 
@@ -185,10 +193,11 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
             break;
         }
         let conn_shared = shared.clone();
-        let obs = shared.obs.clone();
-        Executor::global().spawn(&obs, move || {
-            serve_connection(stream, conn_shared);
-        });
+        // Out of threads: dropping the stream refuses the connection,
+        // and the client's retry reconnects once the pressure passes.
+        let _ = thread::Builder::new()
+            .name(format!("worlds-conn-{}", shared.node))
+            .spawn(move || serve_connection(stream, conn_shared));
     }
 }
 
@@ -227,7 +236,7 @@ fn serve_connection(mut stream: TcpStream, shared: Arc<Shared>) {
 /// delivery (one direct, one via a slow proxy) parks on the condvar and
 /// replays the recorded reply. Different corr-ids therefore apply
 /// concurrently — essential once session spawns (which block on fair
-/// scheduling) share the node with everything else.
+/// admission) share the node with everything else.
 ///
 /// If `apply` unwinds, the claim's guard records an `INTERNAL` Nack for
 /// the corr-id on the way out, so parked and later retransmits replay

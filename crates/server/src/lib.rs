@@ -1,9 +1,9 @@
 //! # worlds-server — a multi-tenant speculation-as-a-service front door
 //!
 //! The paper's kernel speculates for *one* program. This crate makes
-//! the same substrate — one shared COW [`PageStore`], one
-//! work-stealing executor, one reaper — serve many mutually-untrusting
-//! tenants over the `worlds-net` framed wire:
+//! the same substrate — one shared COW [`PageStore`], one reaper —
+//! serve many mutually-untrusting tenants over the `worlds-net` framed
+//! wire:
 //!
 //! * A tenant `SessionOpen`s a **named session** with a
 //!   [`ResourceLimits`] contract (live worlds, resident frames,
@@ -11,10 +11,12 @@
 //!   root world inside the shared store.
 //! * `SessionSpawn` forks one speculative world off that root,
 //!   applies the tenant's page writes, and charges its declared cost.
-//!   Spawns are released through a **deficit round-robin fair
-//!   scheduler** keyed by session — a tenant fanning out thousands of
-//!   worlds cannot starve a light one — and a full fair queue turns
-//!   into `Nack(overloaded)` backpressure, never an unbounded buffer.
+//!   Spawns wait at a **deficit round-robin admission gate** keyed by
+//!   session — a tenant fanning out thousands of worlds cannot starve a
+//!   light one — and a full fair queue turns into `Nack(overloaded)`
+//!   backpressure, never an unbounded buffer. Once admitted, a spawn
+//!   runs on the connection thread that read it, never on the
+//!   speculation pool.
 //! * `SessionCommit` is the paper's `alt_wait` rendezvous per tenant:
 //!   the chosen world is adopted into the session root, every sibling
 //!   is handed to the shared reaper, and a second commit without new

@@ -1,9 +1,8 @@
 //! The session manager: admission, accounting, fairness, lineage.
 //!
 //! One [`SessionManager`] multiplexes every tenant onto a single
-//! shared [`PageStore`], [`Executor`] and [`Reaper`]. Each session is
-//! a named root world plus a ledger of the speculative worlds forked
-//! on its behalf:
+//! shared [`PageStore`] and [`Reaper`]. Each session is a named root
+//! world plus a ledger of the speculative worlds forked on its behalf:
 //!
 //! * **Admission** — `open` is refused with [`SessionError::Overloaded`]
 //!   past the session cap; `spawn` is refused with
@@ -11,10 +10,12 @@
 //!   [`ResourceLimits`], and with `Overloaded` when the tenant's fair
 //!   queue is full (backpressure, never blocking the wire thread
 //!   indefinitely).
-//! * **Fairness** — spawns are released through a
-//!   [`FairScheduler`] keyed by session id, so a tenant fanning out
-//!   thousands of worlds cannot starve a light one (deficit
-//!   round-robin; see `worlds-exec::fair`).
+//! * **Fairness** — a spawn waits at a [`FairScheduler`] gate keyed
+//!   by session id, so a tenant fanning out thousands of worlds cannot
+//!   starve a light one (deficit round-robin; see `worlds-exec::fair`).
+//!   Once admitted, the spawn applies its page writes on the calling
+//!   thread — the connection thread that was waiting for the answer
+//!   anyway — so a spawn costs no pool task and no thread handoff.
 //! * **Exactly-one-commit** — `commit` adopts the chosen world into
 //!   the session root and hands every sibling to the reaper. A second
 //!   commit without new spawns finds no world and is refused.
@@ -24,20 +25,21 @@
 //!   `close(adopt=false)` discards it. Closing a parent closes its
 //!   children (discarding them).
 //!
-//! Teardown is total: `close` purges the session's queued spawns,
-//! drains its in-flight ones, then releases every world it owned —
-//! a tenant that disappears mid-speculation leaves nothing behind.
+//! Teardown is total: `close` purges the session's queued spawns (they
+//! answer `UnknownSession`), drains its in-flight ones, then releases
+//! every world it owned — a tenant that disappears mid-speculation
+//! leaves nothing behind.
 
 use crate::limits::{ResourceLimits, ResourceUsage};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use worlds::Speculation;
-use worlds_exec::{Executor, FairPolicy, FairScheduler, Reaper};
+use worlds_exec::{FairPolicy, FairScheduler, Reaper, Refused};
 use worlds_net::nack;
 use worlds_obs::Registry;
-use worlds_pagestore::{PageStore, WorldId};
+use worlds_pagestore::{PageStore, PageStoreError, WorldId};
 use worlds_telemetry::SessionReport;
 
 /// Front-door wide knobs, distinct from the per-session
@@ -47,12 +49,12 @@ pub struct ServerPolicy {
     /// Sessions admitted at once (children count). Further opens are
     /// refused `Overloaded`.
     pub max_sessions: usize,
-    /// The deficit round-robin policy spawns are released under.
+    /// The deficit round-robin policy spawns are admitted under.
     pub fair: FairPolicy,
     /// Cap on the *real* time one spawn may burn simulating its
     /// declared `spin_ns` (the vt ledger still charges the declared
-    /// amount). Protects the shared pool from a tenant declaring an
-    /// hour of work per spawn.
+    /// amount). Protects the admission slots and the tenant's own
+    /// connection from a tenant declaring an hour of work per spawn.
     pub spin_cap_ns: u64,
 }
 
@@ -178,16 +180,15 @@ pub struct SessionManager {
 }
 
 impl SessionManager {
-    /// A manager multiplexing sessions onto `store` and `exec`, with
-    /// commit losers eliminated through `reaper`.
+    /// A manager multiplexing sessions onto `store`, with commit
+    /// losers eliminated through `reaper`.
     pub fn new(
         store: PageStore,
         obs: Registry,
-        exec: Executor,
         reaper: Reaper,
         policy: ServerPolicy,
     ) -> SessionManager {
-        let fair = FairScheduler::new(exec, obs.clone(), policy.fair);
+        let fair = FairScheduler::new(policy.fair);
         SessionManager {
             inner: Arc::new(Inner {
                 store,
@@ -206,9 +207,9 @@ impl SessionManager {
         }
     }
 
-    /// A manager on the process-global executor and a private reaper.
+    /// A manager with a private reaper.
     pub fn with_defaults(store: PageStore, obs: Registry, policy: ServerPolicy) -> SessionManager {
-        SessionManager::new(store, obs, Executor::global(), Reaper::new(64), policy)
+        SessionManager::new(store, obs, Reaper::new(64), policy)
     }
 
     /// The shared store sessions live in.
@@ -303,9 +304,9 @@ impl SessionManager {
 
     /// Fork one speculative world off the session root, apply `writes`
     /// to it, and charge `spin_ns` of declared virtual time. Blocks
-    /// until the fair scheduler has released and run the work (that
-    /// *is* the backpressure a heavy tenant feels), then returns the
-    /// world id for a later `commit`.
+    /// until the fair scheduler admits it (that *is* the backpressure a
+    /// heavy tenant feels), does the work on the calling thread, then
+    /// returns the world id for a later `commit`.
     pub fn spawn(
         &self,
         id: u64,
@@ -359,73 +360,81 @@ impl SessionManager {
                 .store
                 .fork_world(sess.root)
                 .map_err(|e| SessionError::Store(e.to_string()))?;
-            // Registered before the task is queued so close() can
-            // release it even if the task never runs.
+            // Registered before the spawn waits so close() can release
+            // it even if the spawn is purged. The declared budget burns
+            // here too, under the lock the check ran under: a tenant
+            // cannot dodge its contract by keeping spawns queued.
             st.worlds.insert(world.raw(), 0);
+            sess.vt_spent.fetch_add(spin_ns, Ordering::Relaxed);
             world
         };
 
-        let (tx, rx) = mpsc::channel::<Result<u64, String>>();
-        let store = inner.store.clone();
-        let writes = writes.to_vec();
-        let spin = spin_ns.min(inner.policy.spin_cap_ns);
-        let task = move || {
-            let mut out = Ok(());
-            for (vpn, bytes) in &writes {
-                if let Err(e) = store.write(world, *vpn, 0, bytes) {
-                    out = Err(e.to_string());
-                    break;
-                }
-            }
-            if spin > 0 && out.is_ok() {
-                std::thread::sleep(std::time::Duration::from_nanos(spin));
-            }
-            let charged = match (&out, store.resident_frames_of(world)) {
-                (Ok(()), Ok(r)) => Ok(r.private),
-                (Err(e), _) => Err(e.clone()),
-                (_, Err(e)) => Err(e.to_string()),
-            };
-            let _ = tx.send(charged);
-        };
-        if let Err(sat) = inner.fair.submit(id, spin_ns.max(1), task) {
+        let admitted = inner.fair.admit(id, spin_ns.max(1));
+        if let Err(refused @ Refused::Saturated { .. }) = admitted {
             let mut st = sess.state.lock().unwrap_or_else(|e| e.into_inner());
             st.worlds.remove(&world.raw());
             drop(st);
             let _ = inner.store.drop_world(world);
+            sess.vt_spent.fetch_sub(spin_ns, Ordering::Relaxed);
             sess.rejected.fetch_add(1, Ordering::Relaxed);
             inner.rejected_overloaded.fetch_add(1, Ordering::Relaxed);
-            return Err(SessionError::Overloaded(sat.to_string()));
+            return Err(SessionError::Overloaded(refused.to_string()));
         }
-        // Burn the declared budget at admission: a tenant cannot dodge
-        // its contract by keeping work queued.
-        sess.vt_spent.fetch_add(spin_ns, Ordering::Relaxed);
         sess.spawns.fetch_add(1, Ordering::Relaxed);
+        // Purged: the session was closed while this spawn waited in the
+        // fair queue, and close() releases the world.
+        let Ok(slot) = admitted else {
+            return Err(SessionError::UnknownSession(id));
+        };
+        let applied = self.apply(world, writes, spin_ns);
+        drop(slot);
 
-        match rx.recv() {
-            Ok(Ok(charge)) => {
-                let mut st = sess.state.lock().unwrap_or_else(|e| e.into_inner());
-                match st.worlds.get_mut(&world.raw()) {
-                    // Session closed underneath us and released the
-                    // world: report the teardown, not success.
-                    None => Err(SessionError::UnknownSession(id)),
-                    Some(slot) => {
-                        *slot = charge;
-                        Ok(world.raw())
-                    }
+        let mut st = sess.state.lock().unwrap_or_else(|e| e.into_inner());
+        match (st.worlds.get_mut(&world.raw()), applied) {
+            // Session closed underneath us and released the world:
+            // report the teardown, not success. A close that finished
+            // before this spawn reached the gate left a fresh tenant
+            // entry behind; drop it.
+            (None, _) => {
+                if st.closed {
+                    inner.fair.forget(id);
                 }
+                Err(SessionError::UnknownSession(id))
             }
-            Ok(Err(store_err)) => {
-                let mut st = sess.state.lock().unwrap_or_else(|e| e.into_inner());
-                if st.worlds.remove(&world.raw()).is_some() {
-                    drop(st);
-                    let _ = inner.store.drop_world(world);
-                }
-                Err(SessionError::Store(store_err))
+            (Some(charge), Ok(private)) => {
+                *charge = private;
+                Ok(world.raw())
             }
-            // The task was purged before it ran: the session was
-            // closed while this spawn waited in the fair queue.
-            Err(_) => Err(SessionError::UnknownSession(id)),
+            (Some(_), Err(e)) => {
+                st.worlds.remove(&world.raw());
+                drop(st);
+                let _ = inner.store.drop_world(world);
+                Err(e)
+            }
         }
+    }
+
+    /// The admitted part of a spawn: write the pages, burn the (capped)
+    /// spin, and return the private frames to charge the world.
+    fn apply(
+        &self,
+        world: WorldId,
+        writes: &[(u64, Vec<u8>)],
+        spin_ns: u64,
+    ) -> Result<u64, SessionError> {
+        let store = &self.inner.store;
+        let store_err = |e: PageStoreError| SessionError::Store(e.to_string());
+        for (vpn, bytes) in writes {
+            store.write(world, *vpn, 0, bytes).map_err(store_err)?;
+        }
+        let spin = spin_ns.min(self.inner.policy.spin_cap_ns);
+        if spin > 0 {
+            std::thread::sleep(std::time::Duration::from_nanos(spin));
+        }
+        store
+            .resident_frames_of(world)
+            .map(|r| r.private)
+            .map_err(store_err)
     }
 
     fn refuse_limit(&self, sess: &Session, detail: String) -> SessionError {

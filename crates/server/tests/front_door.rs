@@ -233,3 +233,43 @@ fn connection_reset_mid_speculation_then_close_releases_everything() {
     assert_eq!(store.live_frames(), frame_baseline, "no frame residue");
     store.verify_refcounts().unwrap();
 }
+
+#[test]
+fn session_cycles_never_touch_the_speculation_pool() {
+    // Connection threads apply spawns themselves, after fair admission:
+    // a session cycle costs the pool no task, so its permanent workers
+    // stay free for compute and no spawn pays for a fallback thread.
+    let obs = Registry::enabled();
+    let door = FrontDoor::serve(
+        1,
+        PageStore::new(4096),
+        obs.clone(),
+        ServerPolicy::default(),
+    )
+    .expect("bind front door");
+    let mut tenant = SessionClient::open(
+        door.addr(),
+        "cycler",
+        ResourceLimits::unlimited(),
+        RetryPolicy::default(),
+        Registry::disabled(),
+    )
+    .unwrap();
+    for cycle in 0..200u64 {
+        let worlds: Vec<u64> = (0..3u64)
+            .map(|k| tenant.spawn(0, vec![(k, vec![cycle as u8; 64])]).unwrap())
+            .collect();
+        tenant.commit(worlds[1]).unwrap();
+        let stale = tenant.commit(worlds[2]).unwrap_err();
+        assert_eq!(stale.nack_code(), Some(nack::NO_SUCH_WORLD));
+    }
+    assert_eq!(door.manager().totals().committed, 200);
+    let exec = &obs.stats().expect("enabled registry").exec;
+    assert_eq!(exec.tasks_run.get(), 0, "session path ran pool tasks");
+    assert_eq!(
+        exec.fallback_threads.get(),
+        0,
+        "session path spawned fallbacks"
+    );
+    tenant.close(false).unwrap();
+}

@@ -141,11 +141,13 @@ fn close_races_with_queued_spawns_without_hanging() {
     // blocked spawn calls must return (an error), not hang, and the
     // store must come back to baseline.
     let store = PageStore::new(4096);
-    let mut policy = ServerPolicy::default();
-    policy.fair = FairPolicy {
-        quantum: 1_000,
-        queue_cap: 64,
-        max_inflight: 1,
+    let policy = ServerPolicy {
+        fair: FairPolicy {
+            quantum: 1_000,
+            queue_cap: 64,
+            max_inflight: 1,
+        },
+        ..ServerPolicy::default()
     };
     let mgr = SessionManager::with_defaults(store.clone(), Registry::disabled(), policy);
     let world_baseline = store.world_count();
@@ -174,6 +176,66 @@ fn close_races_with_queued_spawns_without_hanging() {
     assert_eq!(outcomes.load(Ordering::Relaxed), 8, "every spawn returned");
     assert_eq!(store.world_count(), world_baseline);
     assert_eq!(store.live_frames(), frame_baseline);
+    store.verify_refcounts().unwrap();
+}
+
+#[test]
+fn close_answers_a_waiting_spawn_with_unknown_session() {
+    // One in-flight slot, held by a long spawn of another session: the
+    // victim's spawn waits at the fair gate until its session closes,
+    // then answers unknown_session long before the slot frees.
+    let store = PageStore::new(4096);
+    let policy = ServerPolicy {
+        fair: FairPolicy {
+            quantum: 1_000,
+            queue_cap: 64,
+            max_inflight: 1,
+        },
+        spin_cap_ns: 2_000_000_000,
+        ..ServerPolicy::default()
+    };
+    let mgr = SessionManager::with_defaults(store.clone(), Registry::disabled(), policy);
+    let world_baseline = store.world_count();
+    let holder = mgr.open("holder", ResourceLimits::unlimited()).unwrap();
+    let victim = mgr.open("victim", ResourceLimits::unlimited()).unwrap();
+    let hold = {
+        let mgr = mgr.clone();
+        std::thread::spawn(move || mgr.spawn(holder, 2_000_000_000, &[]))
+    };
+    let deadline = Instant::now() + Duration::from_secs(2);
+    // `spawns` counts a spawn once the gate has let it through.
+    while mgr.usage(holder).unwrap().spawns == 0 {
+        assert!(Instant::now() < deadline, "holder never got its slot");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let (tx, rx) = std::sync::mpsc::channel();
+    {
+        let mgr = mgr.clone();
+        std::thread::spawn(move || {
+            let _ = tx.send(mgr.spawn(victim, 1_000, &[(0, page(b'v'))]));
+        });
+    }
+    while mgr
+        .reports()
+        .iter()
+        .all(|r| r.session != victim || r.queued == 0)
+    {
+        assert!(Instant::now() < deadline, "victim never queued");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    mgr.close(victim, false).unwrap();
+    let answer = rx
+        .recv_timeout(Duration::from_secs(1))
+        .expect("waiting spawn answered well before the held slot freed");
+    assert_eq!(answer, Err(SessionError::UnknownSession(victim)));
+
+    assert!(
+        hold.join().unwrap().is_ok(),
+        "the holder's spawn is untouched"
+    );
+    mgr.close(holder, false).unwrap();
+    assert_eq!(mgr.session_count(), 0);
+    assert_eq!(store.world_count(), world_baseline);
     store.verify_refcounts().unwrap();
 }
 
@@ -223,12 +285,14 @@ fn lineage_fork_adopts_or_discards_wholesale() {
 
 #[test]
 fn session_cap_and_full_queue_surface_as_overloaded() {
-    let mut policy = ServerPolicy::default();
-    policy.max_sessions = 2;
-    policy.fair = FairPolicy {
-        quantum: 1_000,
-        queue_cap: 1,
-        max_inflight: 1,
+    let policy = ServerPolicy {
+        max_sessions: 2,
+        fair: FairPolicy {
+            quantum: 1_000,
+            queue_cap: 1,
+            max_inflight: 1,
+        },
+        ..ServerPolicy::default()
     };
     let mgr = manager(policy);
     let a = mgr.open("a", ResourceLimits::unlimited()).unwrap();
@@ -264,13 +328,15 @@ fn session_cap_and_full_queue_surface_as_overloaded() {
 
 #[test]
 fn hog_tenant_cannot_starve_a_light_one() {
-    let mut policy = ServerPolicy::default();
-    policy.fair = FairPolicy {
-        quantum: 2_000_000,
-        queue_cap: 256,
-        max_inflight: 2,
+    let policy = ServerPolicy {
+        fair: FairPolicy {
+            quantum: 2_000_000,
+            queue_cap: 256,
+            max_inflight: 2,
+        },
+        spin_cap_ns: 2_000_000,
+        ..ServerPolicy::default()
     };
-    policy.spin_cap_ns = 2_000_000;
     let mgr = manager(policy);
     let hog = mgr.open("hog", ResourceLimits::unlimited()).unwrap();
     let mouse = mgr.open("mouse", ResourceLimits::unlimited()).unwrap();
